@@ -1,67 +1,46 @@
 #include "src/machine/cache.h"
 
-#include <cstddef>
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 namespace nsf {
 
-namespace {
-uint32_t Log2(uint32_t v) {
-  uint32_t s = 0;
-  while ((1u << s) < v) {
-    s++;
+CacheModel::CacheModel(uint32_t size_bytes, uint32_t line_size, uint32_t ways,
+                       std::vector<uint64_t> recycled)
+    : ways_(ways), state_(std::move(recycled)) {
+  if (const char* why = GeometryError(size_bytes, line_size, ways)) {
+    fprintf(stderr, "CacheModel(%u, %u, %u): %s\n", size_bytes, line_size, ways, why);
+    std::abort();
   }
-  return s;
-}
-}  // namespace
-
-CacheModel::CacheModel(uint32_t size_bytes, uint32_t line_size, uint32_t ways)
-    : line_size_(line_size),
-      ways_(ways),
-      num_sets_(size_bytes / (line_size * ways)),
-      line_shift_(Log2(line_size)),
-      sets_(size_t{num_sets_} * ways) {}
-
-bool CacheModel::Access(uint64_t addr) {
-  uint64_t line = addr >> line_shift_;
-  uint32_t set = static_cast<uint32_t>(line % num_sets_);
-  Way* base = &sets_[size_t{set} * ways_];
-  tick_++;
-  Way* victim = base;
-  for (uint32_t w = 0; w < ways_; w++) {
-    if (base[w].tag == line) {
-      base[w].lru = tick_;
-      hits_++;
-      return true;
-    }
-    if (base[w].lru < victim->lru) {
-      victim = &base[w];
-    }
+  line_shift_ = static_cast<uint32_t>(std::countr_zero(line_size));
+  const uint32_t num_sets = size_bytes / (line_size * ways);
+  set_mask_ = num_sets - 1;
+  const size_t words = 2 * size_t{num_sets} * ways;
+  if (state_.size() != words) {
+    state_.assign(words, 0);
+    Reset();
   }
-  victim->tag = line;
-  victim->lru = tick_;
-  misses_++;
-  return false;
 }
 
-uint32_t CacheModel::AccessRange(uint64_t addr, uint32_t size) {
-  uint32_t miss_count = 0;
-  uint64_t first = addr >> line_shift_;
-  uint64_t last = (addr + (size > 0 ? size - 1 : 0)) >> line_shift_;
-  for (uint64_t line = first; line <= last; line++) {
-    if (!Access(line << line_shift_)) {
-      miss_count++;
+void CacheModel::Fill(uint64_t* tags, uint64_t* stamps, uint64_t line) {
+  uint32_t victim = 0;
+  for (uint32_t w = 1; w < ways_; w++) {
+    if (stamps[w] < stamps[victim]) {
+      victim = w;
     }
   }
-  return miss_count;
+  tags[victim] = line;
+  stamps[victim] = tick_;
 }
 
 void CacheModel::Reset() {
-  for (Way& w : sets_) {
-    w = Way{};
+  for (size_t base = 0; base < state_.size(); base += 2 * size_t{ways_}) {
+    std::fill_n(&state_[base], ways_, UINT64_MAX);
+    std::fill_n(&state_[base + ways_], ways_, 0);
   }
+  mru_line_ = UINT64_MAX;
   tick_ = 0;
-  hits_ = 0;
-  misses_ = 0;
 }
 
 }  // namespace nsf

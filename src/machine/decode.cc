@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -174,9 +175,9 @@ const char* HOpName(HOp h) {
 
 namespace {
 
-// The L1i line size is fixed at 64 bytes (machine.h's CacheModel config);
-// the line-span precomputation hardcodes the shift accordingly.
-constexpr uint32_t kLineShift = 6;
+// Line spans are precomputed against the machine's L1i line size.
+constexpr uint32_t kLineShift = std::countr_zero(kCacheLineSize);
+static_assert(kCacheLineSize == 1u << kLineShift, "L1i line size must be a power of two");
 
 int8_t OptReg(const std::optional<Gpr>& r) {
   return r.has_value() ? static_cast<int8_t>(static_cast<uint8_t>(*r)) : int8_t{-1};
@@ -832,13 +833,8 @@ TrapKind SimMachine::ExecDecoded() {
 #define NSF_PROLOGUE(fa, fsz, flines)                       \
   do {                                                      \
     if ((flines) == 1) {                                    \
-      if (!l1i_.Access(fa)) {                               \
-        counters_.l1i_misses++;                             \
-        counters_.micro_cycles += cost_.l1_miss;            \
-        if (!l2_.Access(fa)) {                              \
-          counters_.l2_misses++;                            \
-          counters_.micro_cycles += cost_.l2_miss;          \
-        }                                                   \
+      if (!l1i_.Access(fa)) [[unlikely]] {                  \
+        L1Miss(&counters_.l1i_misses, (fa));                \
       }                                                     \
     } else {                                                \
       FetchL1i((fa), (fsz));                                \

@@ -49,7 +49,19 @@ SimMachine::SimMachine(const MProgram* program, CostModel cost)
 
 SimMachine::SimMachine(const MProgram* program, const DecodedProgram* decoded,
                        SimBufferPool* pool, CostModel cost)
-    : program_(program), decoded_(decoded), pool_(pool), cost_(cost) {
+    : program_(program),
+      decoded_(decoded),
+      pool_(pool),
+      cost_(cost),
+      l1i_(kL1iBytes, kCacheLineSize, kCacheWays,
+           pool != nullptr ? std::move(pool->l1i_) : std::vector<uint64_t>{}),
+      l1d_(kL1dBytes, kCacheLineSize, kCacheWays,
+           pool != nullptr ? std::move(pool->l1d_) : std::vector<uint64_t>{}),
+      l2_(kL2Bytes, kCacheLineSize, kCacheWays,
+          pool != nullptr ? std::move(pool->l2_) : std::vector<uint64_t>{}) {
+  // The pool hands its cache arrays back together with its other buffers, so
+  // has_buffers_ (cleared by InitMemory) says whether they were adopted.
+  caches_recycled_ = pool != nullptr && pool->has_buffers_;
   InitMemory(pool);
 }
 
@@ -154,6 +166,9 @@ void SimMachine::ReleaseBuffers() {
   pool_->heap_ = std::move(heap_);
   pool_->table_ = std::move(table_image_);
   pool_->globals_ = std::move(globals_);
+  pool_->l1i_ = l1i_.TakeState();
+  pool_->l1d_ = l1d_.TakeState();
+  pool_->l2_ = l2_.TakeState();
   pool_->has_buffers_ = true;
 }
 
@@ -187,9 +202,14 @@ bool SimMachine::HeapWrite(uint32_t addr, const void* data, uint32_t size) {
 void SimMachine::ResetCounters() {
   counters_ = PerfCounters{};
   host_micro_cycles_ = 0;
+  ResetCaches();
+}
+
+void SimMachine::ResetCaches() {
   l1i_.Reset();
   l1d_.Reset();
   l2_.Reset();
+  caches_recycled_ = false;
 }
 
 void SimMachine::ChargeHostCycles(uint64_t cycles) {
@@ -268,15 +288,10 @@ void SimMachine::WriteStack(uint64_t addr, uint64_t bits) {
 
 void SimMachine::FetchL1i(uint64_t addr, uint32_t size) {
   uint32_t imiss = l1i_.AccessRange(addr, size);
-  if (imiss > 0) {
-    counters_.l1i_misses += imiss;
-    counters_.micro_cycles += cost_.l1_miss * imiss;
-    for (uint32_t k = 0; k < imiss; k++) {
-      if (!l2_.Access(addr + uint64_t{k} * 64)) {
-        counters_.l2_misses++;
-        counters_.micro_cycles += cost_.l2_miss;
-      }
-    }
+  // Known inaccuracy, kept so counters stay stable: L2 is probed at the span's
+  // first `imiss` lines, not at the lines that missed L1i.
+  for (uint32_t k = 0; k < imiss; k++) {
+    L1Miss(&counters_.l1i_misses, addr + uint64_t{k} * kCacheLineSize);
   }
 }
 
@@ -302,6 +317,9 @@ MachineResult SimMachine::RunAt(uint32_t func_index, uint64_t args_base) {
   pc_ = 0;
   pending_trap_ = TrapKind::kNone;
   trap_msg_.clear();
+  if (caches_recycled_) {
+    ResetCaches();
+  }
   TrapKind trap;
   if (dispatch_ == SimDispatch::kLegacy) {
     trap = ExecLegacy();
@@ -341,6 +359,9 @@ MachineResult SimMachine::Run(uint32_t func_index, const std::vector<uint64_t>& 
   pc_ = 0;
   pending_trap_ = TrapKind::kNone;
   trap_msg_.clear();
+  if (caches_recycled_) {
+    ResetCaches();
+  }
 
   TrapKind trap;
   if (dispatch_ == SimDispatch::kLegacy) {

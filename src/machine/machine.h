@@ -43,6 +43,20 @@ inline constexpr uint64_t kGlobalsBase = 0x04000000;
 inline constexpr uint64_t kTableBase = 0x05000000;
 inline constexpr uint64_t kHeapBase = 0x10000000;
 
+// Simulated cache geometry (bytes, line bytes, ways). L1i is scaled to 4 KB:
+// our workloads are size-reduced SPEC equivalents, so the cache is shrunk
+// proportionally to preserve the paper's code-size-vs-L1i pressure (Fig 10).
+// L1d/L2 keep desktop sizes. All three share one line size; predecode
+// (decode.cc) precomputes each instruction's L1i line span from it.
+inline constexpr uint32_t kCacheLineSize = 64;
+inline constexpr uint32_t kL1iBytes = 4 * 1024;
+inline constexpr uint32_t kL1dBytes = 32 * 1024;
+inline constexpr uint32_t kL2Bytes = 512 * 1024;
+inline constexpr uint32_t kCacheWays = 8;
+static_assert(CacheModel::GeometryError(kL1iBytes, kCacheLineSize, kCacheWays) == nullptr);
+static_assert(CacheModel::GeometryError(kL1dBytes, kCacheLineSize, kCacheWays) == nullptr);
+static_assert(CacheModel::GeometryError(kL2Bytes, kCacheLineSize, kCacheWays) == nullptr);
+
 // Default execution budget when set_fuel was never called (see SimMachine).
 inline constexpr uint64_t kSimDefaultFuel = 200ull * 1000 * 1000 * 1000;
 
@@ -122,7 +136,9 @@ using HostHook = std::function<void(SimMachine&)>;
 // globals, and the table image) across SimMachine constructions: a machine
 // built from a pool takes the previous run's buffers — already scrubbed back
 // to zero on release, and only over the ranges that run actually dirtied —
-// instead of page-faulting fresh allocations every run. Single-slot and
+// instead of page-faulting fresh allocations every run. The three cache
+// models' state arrays travel with them, unscrubbed: the machine clears them
+// once, in ResetCounters() (or at its first run if never reset). Single-slot and
 // deliberately not thread-safe: the Session that owns it runs one machine at
 // a time (each ExecutorPool worker has its own Session, hence its own pool).
 class SimBufferPool {
@@ -137,6 +153,9 @@ class SimBufferPool {
   std::vector<uint8_t> heap_;
   std::vector<uint8_t> table_;
   std::vector<uint64_t> globals_;
+  std::vector<uint64_t> l1i_;
+  std::vector<uint64_t> l1d_;
+  std::vector<uint64_t> l2_;
   bool has_buffers_ = false;
   uint64_t acquires_ = 0;
   uint64_t reuses_ = 0;
@@ -203,6 +222,7 @@ class SimMachine {
   void set_global_bits(uint32_t slot, uint64_t v) { globals_[slot] = v; }
 
   const PerfCounters& counters() const { return counters_; }
+  // Zeroes the counters and empties the caches.
   void ResetCounters();
 
   // Charges `cycles` full cycles to the run (used by the kernel to model
@@ -306,16 +326,22 @@ class SimMachine {
       counters_.loads_retired++;
       counters_.micro_cycles += cost_.load;
     }
-    if (!l1d_.Access(addr)) {
-      counters_.l1d_misses++;
-      counters_.micro_cycles += cost_.l1_miss;
-      if (!l2_.Access(addr)) {
-        counters_.l2_misses++;
-        counters_.micro_cycles += cost_.l2_miss;
-      }
+    if (!l1d_.Access(addr)) [[unlikely]] {
+      L1Miss(&counters_.l1d_misses, addr);
     }
     *out = p;
     return true;
+  }
+
+  // The one L1 miss path (L1d, and L1i for both dispatch paths): counts the
+  // miss in `l1_misses`, charges the L1 penalty and probes the unified L2.
+  void L1Miss(uint64_t* l1_misses, uint64_t addr) {
+    (*l1_misses)++;
+    counters_.micro_cycles += cost_.l1_miss;
+    if (!l2_.Access(addr)) {
+      counters_.l2_misses++;
+      counters_.micro_cycles += cost_.l2_miss;
+    }
   }
 
   uint64_t EffectiveAddr(const MemRef& m) const;
@@ -348,6 +374,7 @@ class SimMachine {
 
   void InitMemory(SimBufferPool* pool);
   void ReleaseBuffers();  // scrub dirtied ranges, hand buffers back to pool_
+  void ResetCaches();
 
   const MProgram* program_;
   const DecodedProgram* decoded_ = nullptr;
@@ -384,12 +411,12 @@ class SimMachine {
   uint32_t cur_func_ = 0;
   uint32_t pc_ = 0;
 
-  // L1i is scaled to 4 KB: our workloads are size-reduced SPEC equivalents,
-  // so the cache is shrunk proportionally to preserve the paper's
-  // code-size-vs-L1i pressure (Fig 10). L1d/L2 keep desktop sizes.
-  CacheModel l1i_{4 * 1024, 64, 8};
-  CacheModel l1d_{32 * 1024, 64, 8};
-  CacheModel l2_{512 * 1024, 64, 8};
+  // Constructed from pool_'s recycled state arrays when it has them (see the
+  // constructor); `caches_recycled_` then holds until ResetCaches runs.
+  CacheModel l1i_;
+  CacheModel l1d_;
+  CacheModel l2_;
+  bool caches_recycled_ = false;
 
   PerfCounters counters_;
   uint64_t host_micro_cycles_ = 0;

@@ -354,11 +354,11 @@ TEST(DecodeDifferential, PolybenchSubsetBitIdentical) {
 
 // --- Buffer pool scrub contract ---
 
-TEST(SimBufferPool, ReusedBuffersAreScrubbedToZero) {
+// Dirties the heap and a deep stack slot.
+MProgram DirtyingProgram() {
   MProgram prog;
   prog.memory_pages = 1;
   MFunction f;
-  // Dirty the heap and a deep stack slot.
   f.code.push_back(MInstr::RI(MOp::kMov, Gpr::kRdi, 0x1234, 8));
   f.code.push_back(MInstr::MR(MOp::kStore, MemRef::Abs(static_cast<int32_t>(kHeapBase) + 100),
                               Gpr::kRdi, 8));
@@ -369,7 +369,11 @@ TEST(SimBufferPool, ReusedBuffersAreScrubbedToZero) {
   f.code.push_back(Ret());
   prog.funcs.push_back(std::move(f));
   prog.Link();
+  return prog;
+}
 
+TEST(SimBufferPool, ReusedBuffersAreScrubbedToZero) {
+  MProgram prog = DirtyingProgram();
   SimBufferPool pool;
   {
     SimMachine m(&prog, nullptr, &pool);
@@ -390,6 +394,27 @@ TEST(SimBufferPool, ReusedBuffersAreScrubbedToZero) {
   }
   EXPECT_EQ(pool.acquires(), 2u);
   EXPECT_EQ(pool.reuses(), 1u);
+}
+
+// The pool hands cache state over uncleared; a machine that runs without
+// calling ResetCounters() must still start from empty caches.
+TEST(SimBufferPool, RecycledCachesStartEmpty) {
+  MProgram prog = DirtyingProgram();
+  PerfCounters fresh;
+  {
+    SimMachine m(&prog);
+    ASSERT_TRUE(m.Run(0).ok);
+    fresh = m.counters();
+  }
+  ASSERT_GT(fresh.l1i_misses, 0u);
+  ASSERT_GT(fresh.l1d_misses, 0u);
+  SimBufferPool pool;
+  for (int i = 0; i < 3; i++) {
+    SimMachine m(&prog, nullptr, &pool);
+    ASSERT_TRUE(m.Run(0).ok);
+    EXPECT_TRUE(m.counters() == fresh) << "run " << i;
+  }
+  EXPECT_EQ(pool.reuses(), 2u);
 }
 
 TEST(SimBufferPool, PooledRunsAreBitIdenticalToFresh) {
